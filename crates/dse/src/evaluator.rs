@@ -35,7 +35,13 @@ use wbsn_model::units::MilliWatts;
 use wbsn_model::NetworkObjectives;
 
 /// Maps a design point to objectives; `None` marks infeasibility.
-pub trait Evaluator {
+///
+/// Evaluators are shared across threads (`Sync` is a supertrait): the
+/// exhaustive sweep's workers call [`Evaluator::evaluate_batch`] and
+/// [`Evaluator::evaluate_batch_axis_runs`] on one evaluator
+/// concurrently, each with its own chunk, and `mosa_restarts` runs its
+/// chains against one evaluator in parallel.
+pub trait Evaluator: Sync {
     /// Evaluates one configuration; `None` when infeasible (duty-cycle
     /// overflow, GTS overflow, bandwidth shortfall).
     fn evaluate(&self, point: &DesignPoint) -> Option<ObjectiveVector>;
@@ -143,8 +149,11 @@ const SOA_MIN_BATCH: usize = 64;
 
 /// Points per `SoA` chunk: one work unit handed to a pooled kernel
 /// scratch. Large enough to amortize chunk bookkeeping, small enough to
-/// split a generation-sized batch across every core.
-const SOA_CHUNK: usize = 1024;
+/// split a generation-sized batch across every core. A single-node-count
+/// batch of at most one chunk runs on the calling thread, which is what
+/// lets the exhaustive sweep's workers call the evaluator without
+/// fanning out again.
+pub(crate) const SOA_CHUNK: usize = 1024;
 
 /// Node count at which the per-chunk engine switches from the ungrouped
 /// `SoA` kernel to the MAC-grouped one. With interning reduced to dense

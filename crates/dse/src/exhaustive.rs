@@ -1,15 +1,19 @@
 //! Exhaustive enumeration for small design spaces: the ground truth the
 //! metaheuristics are validated against.
 
-use crate::evaluator::Evaluator;
+use crate::evaluator::{Evaluator, SOA_CHUNK};
 use crate::nsga2::SearchResult;
+use crate::objective::ObjectiveVector;
+use crate::parallel::parallel_map_with_block;
 use crate::pareto::ParetoArchive;
-use wbsn_model::space::DesignSpace;
+use wbsn_model::space::{DesignPoint, DesignSpace};
 
-/// Points decoded and evaluated per batch: large enough to keep every
-/// core of a parallel batch evaluator busy, small enough that the decoded
-/// points of one batch fit comfortably in cache.
-const BATCH: usize = 4096;
+/// Points per sweep chunk: one kernel chunk ([`SOA_CHUNK`]). A chunk is
+/// the unit a sweep worker claims, decodes, evaluates and Pareto-filters
+/// on its own thread, so the evaluator call inside it never fans out
+/// again, and the decoded points of one chunk stay in cache while the
+/// kernel and the chunk-local archive read them.
+const BATCH: usize = SOA_CHUNK;
 
 /// Total number of points the mixed-radix enumeration would visit.
 #[must_use]
@@ -39,42 +43,12 @@ pub fn enumeration_size(space: &DesignSpace) -> u128 {
 /// ```
 #[must_use]
 pub fn exhaustive(space: &DesignSpace, evaluator: &dyn Evaluator, limit: u128) -> SearchResult {
-    let total = enumeration_size(space);
-    assert!(total <= limit, "space holds {total} points, above the exhaustive limit {limit}");
-    let mut front = ParetoArchive::new();
-    let mut evaluations = 0u64;
-    let mut infeasible = 0u64;
-
-    // Linear-index enumeration: `DesignSpace::point_at` decodes index i
-    // into the i-th mixed-radix digit vector (the same sequence the old
-    // serial odometer produced), so the space partitions perfectly into
-    // independent chunks handed to `evaluate_batch` — the evaluator fans
-    // each one out across cores and runs each chunk through the
-    // MAC-grouped SoA kernel (enumeration visits MAC configurations in
-    // long same-MAC stretches, so the grouped runs are maximal here).
-    // Archive insertion stays in index order: the result is
-    // bit-identical to the fully serial enumeration. One decode buffer
-    // is drained and refilled per chunk, so enumeration allocates per
-    // batch, not per point.
-    let mut points = Vec::with_capacity(BATCH);
-    let mut next: u128 = 0;
-    while next < total {
-        let count = usize::try_from((total - next).min(BATCH as u128)).expect("bounded by BATCH");
-        points.extend((0..count).map(|i| space.point_at(next + i as u128)));
-        let results = evaluator.evaluate_batch(&points);
-        evaluations += count as u64;
-        for (point, result) in points.drain(..).zip(results) {
-            match result {
-                Some(obj) => {
-                    front.insert(obj, point);
-                }
-                None => infeasible += 1,
-            }
-        }
-        next += count as u128;
-    }
-    // Exhaustive enumeration never revisits a genome: no memo needed.
-    SearchResult { front, evaluations, infeasible, memo_hits: 0 }
+    // Enumeration in `DesignSpace::point_at` order (first pick dimension
+    // fastest) through `evaluate_batch`, whose SoA kernel is chosen by
+    // the node count: ungrouped below `GROUPED_MIN_NODES`, MAC-grouped
+    // at or above it. The result is bit-identical to inserting the
+    // points one by one in index order (see `sweep`).
+    sweep(space, evaluator, limit, Order::Canonical)
 }
 
 /// Decodes linear index `index` in **axis-major** order: the mirror of
@@ -95,32 +69,11 @@ pub fn exhaustive(space: &DesignSpace, evaluator: &dyn Evaluator, limit: u128) -
 ///
 /// Panics if `index` is out of range.
 #[must_use]
-pub fn point_at_axis_major(space: &DesignSpace, index: u128) -> wbsn_model::space::DesignPoint {
+pub fn point_at_axis_major(space: &DesignSpace, index: u128) -> DesignPoint {
     let radices = space.dimension_radices();
     let mut digits = vec![0usize; radices.len()];
-    decode_axis_major(space, &radices, &mut digits, index)
-}
-
-/// Shared decode body of [`point_at_axis_major`] and the sweep loop:
-/// fills `digits` with the reverse-significance mixed-radix digits of
-/// `index` and rebuilds the point. The caller owns the buffers so the
-/// sweep decodes without per-point allocation.
-fn decode_axis_major(
-    space: &DesignSpace,
-    radices: &[usize],
-    digits: &mut [usize],
-    index: u128,
-) -> wbsn_model::space::DesignPoint {
-    let mut rem = index;
-    // Least significant digit = LAST dimension: walk the radices from
-    // the back, exactly `point_at` with the significance order flipped.
-    for (digit, &radix) in digits.iter_mut().zip(radices).rev() {
-        *digit = usize::try_from(rem % radix as u128).expect("digit below its radix");
-        rem /= radix as u128;
-    }
-    assert!(rem == 0, "axis-major index out of range");
-    let mut it = digits.iter().copied();
-    space.point_with(|_| it.next().expect("one digit per dimension"))
+    Order::AxisMajor.decode(&radices, &mut digits, index);
+    point_from_digits(space, &digits)
 }
 
 /// Exhaustively evaluates every configuration of `space` like
@@ -147,33 +100,147 @@ pub fn exhaustive_incremental(
     evaluator: &dyn Evaluator,
     limit: u128,
 ) -> SearchResult {
+    sweep(space, evaluator, limit, Order::AxisMajor)
+}
+
+/// Digit significance of a sweep's linear index, which also picks the
+/// evaluator method the sweep calls.
+#[derive(Debug, Clone, Copy)]
+enum Order {
+    /// First pick dimension fastest ([`DesignSpace::point_at`]),
+    /// evaluated through [`Evaluator::evaluate_batch`].
+    Canonical,
+    /// Last pick dimension fastest ([`point_at_axis_major`]), evaluated
+    /// through [`Evaluator::evaluate_batch_axis_runs`].
+    AxisMajor,
+}
+
+impl Order {
+    /// Fills `digits` with the mixed-radix digits of `index`, one per
+    /// pick dimension in [`DesignSpace::dimension_radices`] order.
+    fn decode(self, radices: &[usize], digits: &mut [usize], index: u128) {
+        let mut rem = index;
+        let mut put = |(digit, &radix): (&mut usize, &usize)| {
+            *digit = usize::try_from(rem % radix as u128).expect("digit below its radix");
+            rem /= radix as u128;
+        };
+        match self {
+            Self::Canonical => digits.iter_mut().zip(radices).for_each(&mut put),
+            Self::AxisMajor => digits.iter_mut().zip(radices).rev().for_each(&mut put),
+        }
+        assert!(rem == 0, "index {index} out of range");
+    }
+
+    /// Steps `digits` to the next index: the odometer roll that replaces
+    /// a full decode for every point after a chunk's first. Rolling past
+    /// the last index wraps to all zeros.
+    fn advance(self, radices: &[usize], digits: &mut [usize]) {
+        // `all` stops at the first digit that does not carry; its result
+        // (whether the roll wrapped past the last index) is not needed.
+        let carry = |(digit, &radix): (&mut usize, &usize)| {
+            *digit += 1;
+            let wrapped = *digit == radix;
+            if wrapped {
+                *digit = 0;
+            }
+            wrapped
+        };
+        let _ = match self {
+            Self::Canonical => digits.iter_mut().zip(radices).all(carry),
+            Self::AxisMajor => digits.iter_mut().zip(radices).rev().all(carry),
+        };
+    }
+
+    /// The evaluator method of this order.
+    fn evaluate(
+        self,
+        evaluator: &dyn Evaluator,
+        points: &[DesignPoint],
+    ) -> Vec<Option<ObjectiveVector>> {
+        match self {
+            Self::Canonical => evaluator.evaluate_batch(points),
+            Self::AxisMajor => evaluator.evaluate_batch_axis_runs(points),
+        }
+    }
+}
+
+/// Rebuilds the point whose pick digits are `digits`.
+fn point_from_digits(space: &DesignSpace, digits: &[usize]) -> DesignPoint {
+    let mut it = digits.iter().copied();
+    space.point_with(|_| it.next().expect("one digit per dimension"))
+}
+
+/// Per-worker buffers of the sweep: the odometer digits and the decoded
+/// points of the current chunk, reused across the chunks a worker claims.
+struct SweepWorker {
+    digits: Vec<usize>,
+    points: Vec<DesignPoint>,
+}
+
+/// The sweep driver shared by [`exhaustive`] and
+/// [`exhaustive_incremental`].
+///
+/// The index range is cut into [`BATCH`]-point chunks that workers claim
+/// from the `parallel` chunk-claim loop. A worker decodes its chunk's
+/// first index once and rolls an odometer for the rest, evaluates the
+/// chunk in one evaluator call on its own thread, and keeps a
+/// chunk-local [`ParetoArchive`] and infeasible count. The caller then
+/// merges the chunk archives in chunk order through
+/// [`ParetoArchive::merge`].
+///
+/// The merge is exact, not an approximation of the serial pass: a point
+/// survives the serial insertion sequence iff no earlier point weakly
+/// dominates it and no later point dominates it, and survivors keep
+/// their insertion order. A point dropped inside its chunk is therefore
+/// dropped by the serial pass too, and replaying each chunk's survivors
+/// in chunk order yields the same entries, entry order and payloads as
+/// inserting every point one by one in index order.
+fn sweep(
+    space: &DesignSpace,
+    evaluator: &dyn Evaluator,
+    limit: u128,
+    order: Order,
+) -> SearchResult {
     let total = enumeration_size(space);
     assert!(total <= limit, "space holds {total} points, above the exhaustive limit {limit}");
-    let mut front = ParetoArchive::new();
-    let mut evaluations = 0u64;
-    let mut infeasible = 0u64;
-
     let radices = space.dimension_radices();
-    let mut digits = vec![0usize; radices.len()];
-    let mut points = Vec::with_capacity(BATCH);
-    let mut next: u128 = 0;
-    while next < total {
-        let count = usize::try_from((total - next).min(BATCH as u128)).expect("bounded by BATCH");
-        points.extend(
-            (0..count).map(|i| decode_axis_major(space, &radices, &mut digits, next + i as u128)),
-        );
-        let results = evaluator.evaluate_batch_axis_runs(&points);
-        evaluations += count as u64;
-        for (point, result) in points.drain(..).zip(results) {
-            match result {
-                Some(obj) => {
-                    front.insert(obj, point);
+    let chunk_starts: Vec<u128> = (0..total).step_by(BATCH).collect();
+    let chunks = parallel_map_with_block(
+        &chunk_starts,
+        1,
+        || SweepWorker { digits: vec![0; radices.len()], points: Vec::with_capacity(BATCH) },
+        |worker, &start| {
+            let count =
+                usize::try_from((total - start).min(BATCH as u128)).expect("bounded by BATCH");
+            order.decode(&radices, &mut worker.digits, start);
+            for i in 0..count {
+                if i > 0 {
+                    order.advance(&radices, &mut worker.digits);
                 }
-                None => infeasible += 1,
+                worker.points.push(point_from_digits(space, &worker.digits));
             }
-        }
-        next += count as u128;
+            let results = order.evaluate(evaluator, &worker.points);
+            let mut front = ParetoArchive::new();
+            let mut infeasible = 0u64;
+            for (point, result) in worker.points.drain(..).zip(results) {
+                match result {
+                    Some(obj) => {
+                        front.insert(obj, point);
+                    }
+                    None => infeasible += 1,
+                }
+            }
+            (front, infeasible)
+        },
+    );
+    let mut front = ParetoArchive::new();
+    let mut infeasible = 0u64;
+    for (chunk_front, chunk_infeasible) in chunks {
+        front.merge(chunk_front);
+        infeasible += chunk_infeasible;
     }
+    let evaluations = u64::try_from(total).expect("a space within the limit fits in u64");
+    // Exhaustive enumeration never revisits a genome: no memo needed.
     SearchResult { front, evaluations, infeasible, memo_hits: 0 }
 }
 
@@ -382,6 +449,85 @@ mod tests {
                 objs
             };
             assert_eq!(sort(&incremental), sort(&canonical));
+        }
+    }
+
+    /// Exactly one sweep chunk: 2 nodes × (4 CR × 2 fµC)² × 4 payloads
+    /// × 4 superframe order pairs = 1024 points.
+    fn one_chunk_space() -> DesignSpace {
+        let mut space = DesignSpace::case_study(2);
+        space.cr_values = vec![0.17, 0.24, 0.31, 0.38];
+        space.f_mcu_values =
+            vec![wbsn_model::units::Hertz::from_mhz(4.0), wbsn_model::units::Hertz::from_mhz(8.0)];
+        space.payload_values = vec![30, 70, 100, 114];
+        space.order_pairs = vec![(4, 4), (5, 5), (6, 6), (6, 8)];
+        space
+    }
+
+    /// Several chunks and a partial last one: 3 nodes × (4 CR × 2 fµC)³
+    /// × 3 payloads × 3 order pairs = 4608 points, 4.5 chunks.
+    fn ragged_space() -> DesignSpace {
+        let mut space = DesignSpace::case_study(3);
+        space.cr_values = vec![0.17, 0.24, 0.31, 0.38];
+        space.f_mcu_values =
+            vec![wbsn_model::units::Hertz::from_mhz(4.0), wbsn_model::units::Hertz::from_mhz(8.0)];
+        space.payload_values = vec![70, 100, 114];
+        space.order_pairs = vec![(5, 5), (6, 6), (6, 8)];
+        space
+    }
+
+    /// Independent reference for both sweeps: decode every index with
+    /// the public decoder, evaluate it alone through the scalar
+    /// `evaluate`, insert it into one archive, all on one thread.
+    fn reference_sweep(space: &DesignSpace, axis_major: bool) -> SearchResult {
+        let eval = ModelEvaluator::shimmer();
+        let mut front = ParetoArchive::new();
+        let mut infeasible = 0u64;
+        for index in 0..space.cardinality() {
+            let point =
+                if axis_major { point_at_axis_major(space, index) } else { space.point_at(index) };
+            match eval.evaluate(&point) {
+                Some(obj) => {
+                    front.insert(obj, point);
+                }
+                None => infeasible += 1,
+            }
+        }
+        let evaluations = u64::try_from(space.cardinality()).expect("small space");
+        SearchResult { front, evaluations, infeasible, memo_hits: 0 }
+    }
+
+    /// Both fused sweeps equal the single-threaded reference exactly —
+    /// entries, entry order, payloads and counters — at 1, 2 and 4
+    /// workers, on spaces below one chunk, of exactly one chunk, of a
+    /// ragged number of chunks, and salted with infeasible points. The
+    /// multi-chunk spaces at several workers are what catch a chunk
+    /// merged out of order.
+    #[test]
+    fn sweeps_match_a_single_threaded_reference_at_every_thread_count() {
+        type Sweep = fn(&DesignSpace, &dyn Evaluator, u128) -> SearchResult;
+        assert_eq!(one_chunk_space().cardinality(), BATCH as u128);
+        let ragged = ragged_space().cardinality();
+        assert!(ragged > 4 * BATCH as u128 && !ragged.is_multiple_of(BATCH as u128));
+        assert!(tiny_space().cardinality() < BATCH as u128);
+        let eval = ModelEvaluator::shimmer();
+        let sweeps: [(bool, Sweep); 2] = [(false, exhaustive), (true, exhaustive_incremental)];
+        for space in [tiny_space(), one_chunk_space(), ragged_space(), error_heavy_space()] {
+            for (axis_major, sweep) in sweeps {
+                let expected = reference_sweep(&space, axis_major);
+                assert!(expected.front.len() > 1, "a one-entry front cannot show an order bug");
+                for threads in [1, 2, 4] {
+                    let got =
+                        crate::parallel::with_threads(threads, || sweep(&space, &eval, 100_000));
+                    let case = format!(
+                        "{} points, axis-major {axis_major}, {threads} threads",
+                        space.cardinality()
+                    );
+                    assert_eq!(got.evaluations, expected.evaluations, "{case}");
+                    assert_eq!(got.infeasible, expected.infeasible, "{case}");
+                    assert_eq!(got.front.entries(), expected.front.entries(), "{case}");
+                }
+            }
         }
     }
 

@@ -197,7 +197,7 @@ pub fn mosa_with_memo(
 #[must_use]
 pub fn mosa_restarts(
     space: &DesignSpace,
-    evaluator: &(dyn Evaluator + Sync),
+    evaluator: &dyn Evaluator,
     cfg: &MosaConfig,
     restarts: usize,
 ) -> SearchResult {

@@ -10,6 +10,7 @@
 //! fast) cannot starve one worker while another drowns.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Smallest adaptive work unit: below this, per-block bookkeeping
 /// outweighs a model evaluation by orders of magnitude.
@@ -27,18 +28,26 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Worker threads to use: the innermost [`with_threads`] override when
 /// one is active, else `WBSN_THREADS` when set (≥1), otherwise the
 /// machine's available parallelism.
+///
+/// The environment and the machine are consulted once per process:
+/// reading `WBSN_THREADS` allocates and `available_parallelism` reads
+/// the cgroup files, together about 18 µs — a cost the batch
+/// evaluators and the sweep driver would otherwise pay on every call.
 #[must_use]
 pub fn num_threads() -> usize {
+    static DISCOVERED: OnceLock<usize> = OnceLock::new();
     let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
     }
-    if let Ok(v) = std::env::var("WBSN_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
+    *DISCOVERED.get_or_init(|| {
+        if let Ok(v) = std::env::var("WBSN_THREADS") {
+            if let Ok(n) = v.parse::<usize>() {
+                return n.max(1);
+            }
         }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
 }
 
 /// Runs `f` with [`num_threads`] pinned to `threads` (clamped to ≥1),

@@ -46,10 +46,11 @@
 //!   evaluation; the model-backed evaluators run the `SoA` kernel per
 //!   chunk across all cores (scoped threads, one pooled kernel scratch
 //!   per worker; scalar fallback for tiny batches). NSGA-II evaluates
-//!   each generation as one batch, exhaustive search enumerates via a
-//!   linear-index mixed-radix decode
-//!   ([`model::space::DesignSpace::point_at`]) in parallel-friendly
-//!   chunks, and [`dse::mosa::mosa_restarts`] runs independent annealing
+//!   each generation as one batch, exhaustive search splits the
+//!   linear-index mixed-radix enumeration
+//!   ([`model::space::DesignSpace::point_at`]) into chunks that workers
+//!   decode, evaluate and Pareto-filter in parallel before an in-order
+//!   merge, and [`dse::mosa::mosa_restarts`] runs independent annealing
 //!   chains concurrently. Evaluation consumes no randomness, so seeded
 //!   searches are bit-identical whether batches execute serially or in
 //!   parallel.
