@@ -17,15 +17,16 @@
 //! wide enough to amortize the permutation. Both run through interned
 //! dense node/MAC tables held in a pooled [`SoaScratch`]. Small batches
 //! fall back to the scalar per-point [`WbsnModel::evaluate_objectives`]
-//! path (one [`EvalScratch`] per worker) — the `SoA` tables only pay
-//! off once a chunk amortizes them. All engines are bit-identical to
+//! path on the calling thread (one pooled [`EvalScratch`]) — the `SoA`
+//! tables only pay off once a chunk amortizes them, and a thread spawn
+//! costs more than the few microseconds of scalar work it would split. All engines are bit-identical to
 //! the full model evaluation, so the choice is invisible to callers.
 //! [`SerialEvaluator`] opts any evaluator back into the one-at-a-time
 //! default — the baseline the speedup is measured against and the
 //! reference for determinism tests.
 
 use crate::objective::ObjectiveVector;
-use crate::parallel::{parallel_map_with, parallel_map_with_block};
+use crate::parallel::parallel_map_with_block;
 use std::sync::{Arc, Mutex};
 use wbsn_model::evaluate::{EvalScratch, WbsnModel};
 use wbsn_model::lifetime::Battery;
@@ -142,9 +143,12 @@ impl<T: Default> Drop for Pooled<T> {
     }
 }
 
-/// Batches below this size take the scalar per-point path: the `SoA`
-/// kernel's per-chunk table walk only pays off once a chunk amortizes
-/// it, and searchers routinely evaluate a handful of stragglers.
+/// Batches below this size take the scalar per-point path on the
+/// calling thread: the `SoA` kernel's per-chunk table walk only pays off
+/// once a chunk amortizes it, searchers routinely evaluate a handful of
+/// stragglers (an NSGA-II generation after memo dedup is mostly 17–63
+/// points), and spawning workers for such a batch costs more than the
+/// scalar work it would split.
 const SOA_MIN_BATCH: usize = 64;
 
 /// Points per `SoA` chunk: one work unit handed to a pooled kernel
@@ -181,7 +185,8 @@ struct ModelPools {
 /// the batch's node count (first point) — ungrouped walk below
 /// [`GROUPED_MIN_NODES`], MAC-grouped transposition at or above it.
 /// Falls back to the scalar [`WbsnModel::evaluate_objectives`]
-/// per-point path for batches too small to amortize the kernel. All
+/// per-point path, on the calling thread with one pooled
+/// [`EvalScratch`], for batches too small to amortize the kernel. All
 /// engines are bit-identical to the full model evaluation, so results
 /// do not depend on the path taken.
 fn batch_through_soa(
@@ -192,16 +197,16 @@ fn batch_through_soa(
     project: impl Fn(&NetworkObjectives) -> ObjectiveVector + Sync,
 ) -> Vec<Option<ObjectiveVector>> {
     if points.len() < SOA_MIN_BATCH {
-        return parallel_map_with(
-            points,
-            || pools.scalar.take(),
-            |pooled, point| {
+        let mut pooled = pools.scalar.take();
+        return points
+            .iter()
+            .map(|point| {
                 model
                     .evaluate_objectives(&point.mac, &point.nodes, &mut pooled.state)
                     .ok()
                     .map(|o| project(&o))
-            },
-        );
+            })
+            .collect();
     }
     // Node-count-keyed engine choice: grouped only pays off on wide
     // networks. The batch is split into homogeneous node-count runs
@@ -415,8 +420,8 @@ impl Evaluator for LifetimeEvaluator {
         if points.len() < SOA_MIN_BATCH {
             // The scalar path needs the full per-node evaluation (the
             // lifetime axis reads every node's draw), which allocates
-            // its own output — nothing worth pooling per worker.
-            return parallel_map_with(points, || (), |(), point| self.evaluate(point));
+            // its own output — no scratch to pool.
+            return points.iter().map(|point| self.evaluate(point)).collect();
         }
         let run_kernel =
             |state: &mut FullState, chunk: &[DesignPoint]| -> Vec<Option<ObjectiveVector>> {

@@ -9,10 +9,20 @@
 //!
 //! Evaluation is batched: each generation's offspring (and the initial
 //! population) go through [`Evaluator::evaluate_batch`] as one batch, so
-//! a parallel evaluator fans a whole generation out across cores.
-//! Variation consumes the RNG, evaluation does not — so a seeded run is
-//! bit-identical whether the evaluator executes the batch serially or in
-//! parallel (see `SerialEvaluator`).
+//! the evaluator picks the engine (and, for large batches, the thread
+//! fan-out) per generation. Variation consumes the RNG, evaluation does
+//! not — so a seeded run is bit-identical whether the evaluator executes
+//! the batch serially or in parallel (see `SerialEvaluator`).
+//!
+//! # Cost per generation
+//!
+//! Ranking the `2µ` parents and offspring is one branch-free
+//! O(n²·M) pass that builds a dominance bit matrix (n = 2µ individuals,
+//! M objectives), plus a walk over its set bits to peel the fronts and
+//! one stable sort per objective and front for the crowding distances
+//! (see [`fast_non_dominated_sort`]). The buffers live in a
+//! [`RankScratch`] kept for the whole run, so once warm a generation's
+//! ranking allocates nothing.
 //!
 //! Evaluation is also deduplicated: a [`GenomeMemo`] keyed by genome
 //! replays the outcome of every previously seen candidate (elitism and
@@ -24,7 +34,7 @@
 use crate::evaluator::Evaluator;
 use crate::genome::Genome;
 use crate::memo::GenomeMemo;
-use crate::objective::ObjectiveVector;
+use crate::objective::{ObjectiveVector, MAX_OBJECTIVES};
 use crate::pareto::ParetoArchive;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -128,6 +138,7 @@ pub fn nsga2_with_memo(
     let mut evaluations = 0u64;
     let mut infeasible = 0u64;
     let mut archive: ParetoArchive<DesignPoint> = ParetoArchive::new();
+    let mut ranking = RankScratch::new();
     let infeasible_objectives =
         ObjectiveVector::new(vec![f64::INFINITY; evaluator.num_objectives()]);
 
@@ -145,7 +156,7 @@ pub fn nsga2_with_memo(
         &mut infeasible,
         &mut archive,
     );
-    assign_rank_and_crowding(&mut population);
+    assign_rank_and_crowding(&mut population, &mut ranking);
 
     for _ in 0..cfg.generations {
         // Offspring via binary tournament + crossover + mutation.
@@ -174,7 +185,7 @@ pub fn nsga2_with_memo(
         );
         // (µ+λ) elitism: best `population` individuals survive.
         population.append(&mut offspring);
-        assign_rank_and_crowding(&mut population);
+        assign_rank_and_crowding(&mut population, &mut ranking);
         population.sort_by(|x, y| {
             x.rank.cmp(&y.rank).then(
                 y.crowding.partial_cmp(&x.crowding).expect("crowding distances are comparable"),
@@ -298,56 +309,288 @@ fn tournament<R: Rng + ?Sized>(pop: &[Individual], rng: &mut R) -> usize {
     }
 }
 
-/// Fast non-dominated sort plus crowding distances, written into the
-/// individuals. (`ObjectiveVector` is `Copy`: collecting the objectives
-/// is a flat stack-to-heap copy, not a per-vector allocation.)
-fn assign_rank_and_crowding(pop: &mut [Individual]) {
-    let objectives: Vec<ObjectiveVector> = pop.iter().map(|i| i.objectives).collect();
-    let fronts = fast_non_dominated_sort(&objectives);
-    for (rank, front) in fronts.iter().enumerate() {
-        for &i in front {
-            pop[i].rank = rank;
+/// Ranks and crowding distances of the whole population, written into
+/// the individuals through the run's warm [`RankScratch`].
+fn assign_rank_and_crowding(pop: &mut [Individual], ranking: &mut RankScratch) {
+    ranking.rank(pop.iter().map(|i| &i.objectives));
+    for ((individual, &rank), &crowding) in
+        pop.iter_mut().zip(ranking.ranks()).zip(ranking.crowding())
+    {
+        individual.rank = rank;
+        individual.crowding = crowding;
+    }
+}
+
+/// Reusable buffers of the non-dominated sort and the crowding pass.
+///
+/// One scratch lives for a whole NSGA-II run; once its buffers have
+/// grown to the population size, [`RankScratch::rank`] allocates
+/// nothing. The dominance relation is held as a bit matrix: bit `j` of
+/// row `i` is set when individual `i` dominates individual `j`.
+#[derive(Debug, Clone, Default)]
+pub struct RankScratch {
+    /// Objective values, one zero-padded row per individual.
+    rows: Vec<[f64; MAX_OBJECTIVES]>,
+    /// Active objectives (the common length of every vector).
+    dims: usize,
+    /// `u64` words per bit-matrix row.
+    words: usize,
+    /// The dominance bit matrix, `rows.len()` rows of `words` words,
+    /// stored word-major: word `w` of row `i` is at `w * n + i`.
+    dominates: Vec<u64>,
+    /// How many not-yet-peeled individuals dominate each individual.
+    dominated_by: Vec<u64>,
+    /// Front members, front after front, in discovery order.
+    members: Vec<usize>,
+    /// Exclusive end of each front in `members`.
+    front_ends: Vec<usize>,
+    /// Front index of each individual.
+    ranks: Vec<usize>,
+    /// Crowding distance of each individual within its front.
+    crowding: Vec<f64>,
+    /// One front's members, re-sorted per objective by the crowding pass.
+    order: Vec<usize>,
+}
+
+impl RankScratch {
+    /// An empty scratch; buffers grow on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sorts `objectives` into non-dominated fronts and computes every
+    /// individual's crowding distance within its front. Results are
+    /// read back through [`RankScratch::fronts`], [`RankScratch::ranks`]
+    /// and [`RankScratch::crowding`], indexed like `objectives`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the vectors differ in dimensionality.
+    pub fn rank<'a>(&mut self, objectives: impl IntoIterator<Item = &'a ObjectiveVector>) {
+        self.sort(objectives);
+        self.crowd();
+    }
+
+    /// The fronts of the last [`RankScratch::rank`], best first, each in
+    /// the order [`fast_non_dominated_sort`] documents.
+    pub fn fronts(&self) -> impl Iterator<Item = &[usize]> {
+        let starts = std::iter::once(0).chain(self.front_ends.iter().copied());
+        starts.zip(&self.front_ends).map(|(start, &end)| &self.members[start..end])
+    }
+
+    /// Front index (rank) of each individual; 0 is the non-dominated front.
+    #[must_use]
+    pub fn ranks(&self) -> &[usize] {
+        &self.ranks
+    }
+
+    /// Crowding distance of each individual within its front; see
+    /// [`crowding_distances`].
+    #[must_use]
+    pub fn crowding(&self) -> &[f64] {
+        &self.crowding
+    }
+
+    /// Fills the dominance matrix and peels it into fronts.
+    fn sort<'a>(&mut self, objectives: impl IntoIterator<Item = &'a ObjectiveVector>) {
+        self.rows.clear();
+        self.dims = 0;
+        for o in objectives {
+            if self.rows.is_empty() {
+                self.dims = o.len();
+            }
+            assert_eq!(o.len(), self.dims, "objective dimensionality mismatch");
+            // Padding lanes hold 0.0 on both sides of every comparison,
+            // so they are neither `<` nor `>`.
+            let mut row = [0.0; MAX_OBJECTIVES];
+            row[..o.len()].copy_from_slice(o.values());
+            self.rows.push(row);
         }
-        let distances = crowding_distances(front, &objectives);
-        for (&i, d) in front.iter().zip(distances) {
-            pop[i].crowding = d;
+        let n = self.rows.len();
+        self.words = n.div_ceil(64);
+        self.dominates.clear();
+        self.dominates.resize(n * self.words, 0);
+        self.dominated_by.clear();
+        self.dominated_by.resize(n, 0);
+        self.members.clear();
+        self.members.resize(n, 0);
+        self.front_ends.clear();
+        self.front_ends.resize(n, 0);
+        self.ranks.clear();
+        self.ranks.resize(n, 0);
+        if n == 0 {
+            return;
+        }
+
+        // Each unordered pair is compared once, at its lower index `i`:
+        // "i dominates j" collects into row i's word for j's block, and
+        // "j dominates i" is OR-ed into row j at bit i — with word-major
+        // storage those mirrored words are contiguous in j, as are the
+        // counts of j, so the loop has no branch and no gather.
+        let rows = &self.rows;
+        let words = self.words;
+        // verify: hot-path-begin(dominance-matrix)
+        for (i, a) in rows.iter().enumerate() {
+            let mirror = (i / 64) * n;
+            let shift = i % 64;
+            let mut beaten = 0;
+            let mut start = i + 1;
+            while start < n {
+                let w = start / 64;
+                let end = n.min(w * 64 + 64);
+                let mut bits = 0u64;
+                let pairs = rows[start..end]
+                    .iter()
+                    .zip(&mut self.dominates[mirror + start..mirror + end])
+                    .zip(&mut self.dominated_by[start..end]);
+                for (bit, ((b, mirrored), count)) in (start % 64..).zip(pairs) {
+                    let (lt, gt) = strict_lanes(a, b);
+                    bits |= (lt & !gt) << bit;
+                    *mirrored |= (gt & !lt) << shift;
+                    *count += lt & !gt;
+                    beaten += gt & !lt;
+                }
+                self.dominates[w * n + i] |= bits;
+                start = end;
+            }
+            self.dominated_by[i] += beaten;
+        }
+        // Peel: front 0 is every undominated individual in index order;
+        // each later front collects, in the order their counts reach
+        // zero, the individuals the previous front dominated. Appends
+        // are branch-free: the slot is always written, the length only
+        // advances on a zero count (an individual still being counted
+        // down is never the n-th member, so the slot is in bounds).
+        let mut len = 0;
+        for (i, &count) in self.dominated_by.iter().enumerate() {
+            self.members[len] = i;
+            len += usize::from(count == 0);
+        }
+        let mut fronts = 0;
+        let mut start = 0;
+        while start < len {
+            let end = len;
+            for k in start..end {
+                let i = self.members[k];
+                for w in 0..words {
+                    let mut bits = self.dominates[w * n + i];
+                    while bits != 0 {
+                        let j = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        self.dominated_by[j] -= 1;
+                        self.members[len] = j;
+                        len += usize::from(self.dominated_by[j] == 0);
+                    }
+                }
+            }
+            self.front_ends[fronts] = end;
+            fronts += 1;
+            start = end;
+        }
+        // verify: hot-path-end(dominance-matrix)
+        self.front_ends.truncate(fronts);
+        let mut start = 0;
+        for (rank, &end) in self.front_ends.iter().enumerate() {
+            for &i in &self.members[start..end] {
+                self.ranks[i] = rank;
+            }
+            start = end;
+        }
+    }
+
+    /// Crowding distances of every front, as [`crowding_distances`]
+    /// computes them.
+    fn crowd(&mut self) {
+        self.crowding.clear();
+        self.crowding.resize(self.rows.len(), 0.0);
+        let mut start = 0;
+        for &end in &self.front_ends {
+            self.order.clear();
+            self.order.extend_from_slice(&self.members[start..end]);
+            crowd_front(&mut self.order, &self.rows, self.dims, &mut self.crowding);
+            start = end;
+        }
+    }
+}
+
+/// `(a < b on some axis, a > b on some axis)` as 0/1 words, evaluated
+/// on every lane without short-circuiting. With 0/1 operands,
+/// `lt & !gt` is 1 exactly when `a` dominates `b`.
+#[inline]
+fn strict_lanes(a: &[f64; MAX_OBJECTIVES], b: &[f64; MAX_OBJECTIVES]) -> (u64, u64) {
+    let mut lt = false;
+    let mut gt = false;
+    for k in 0..MAX_OBJECTIVES {
+        lt |= a[k] < b[k];
+        gt |= a[k] > b[k];
+    }
+    (u64::from(lt), u64::from(gt))
+}
+
+/// Adds each member's crowding distance into `distance` (indexed by
+/// individual, zero on entry). `order` holds the front's members in
+/// front order and is re-sorted per objective; the sort is stable, so
+/// members tied on an objective keep their front order, which decides
+/// who sits at a boundary and who is whose neighbour.
+fn crowd_front(
+    order: &mut [usize],
+    rows: &[[f64; MAX_OBJECTIVES]],
+    dims: usize,
+    distance: &mut [f64],
+) {
+    let len = order.len();
+    if len <= 2 {
+        for &i in order.iter() {
+            distance[i] = f64::INFINITY;
+        }
+        return;
+    }
+    for d in 0..dims {
+        order
+            .sort_by(|&x, &y| rows[x][d].partial_cmp(&rows[y][d]).expect("objectives are not NaN"));
+        let lo = rows[order[0]][d];
+        let hi = rows[order[len - 1]][d];
+        distance[order[0]] = f64::INFINITY;
+        distance[order[len - 1]] = f64::INFINITY;
+        let span = hi - lo;
+        if span <= 0.0 || !span.is_finite() {
+            continue;
+        }
+        for w in 1..len - 1 {
+            let prev = rows[order[w - 1]][d];
+            let next = rows[order[w + 1]][d];
+            distance[order[w]] += (next - prev) / span;
         }
     }
 }
 
 /// Deb's fast non-dominated sort: returns index fronts, best first.
+///
+/// **Front order is part of the contract.** Front 0 lists the
+/// undominated individuals in index order. Each later front lists its
+/// members in the order Deb's algorithm discovers them: walking the
+/// previous front in its own order, and each member's dominated set in
+/// ascending index order, an individual joins when its last dominator
+/// is walked. The crowding pass depends on this order: its per-objective
+/// sort is stable, so members tied on an objective keep front order,
+/// and that decides boundary points and neighbours — so a reordered
+/// front changes crowding distances, survivor selection and the whole
+/// seeded NSGA-II trajectory.
+///
+/// The dominance relation is built in one branch-free O(n²·M) pass into
+/// a bit matrix (see [`RankScratch`]); fronts are peeled by walking set
+/// bits in ascending order, which reproduces the ascending adjacency
+/// lists of the textbook formulation exactly.
+///
+/// # Panics
+///
+/// Panics when the vectors differ in dimensionality.
 #[must_use]
 pub fn fast_non_dominated_sort(objectives: &[ObjectiveVector]) -> Vec<Vec<usize>> {
-    let n = objectives.len();
-    let mut dominated_by: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut domination_count = vec![0usize; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if objectives[i].dominates(&objectives[j]) {
-                dominated_by[i].push(j);
-                domination_count[j] += 1;
-            } else if objectives[j].dominates(&objectives[i]) {
-                dominated_by[j].push(i);
-                domination_count[i] += 1;
-            }
-        }
-    }
-    let mut fronts = Vec::new();
-    let mut current: Vec<usize> = (0..n).filter(|&i| domination_count[i] == 0).collect();
-    while !current.is_empty() {
-        let mut next = Vec::new();
-        for &i in &current {
-            for &j in &dominated_by[i] {
-                domination_count[j] -= 1;
-                if domination_count[j] == 0 {
-                    next.push(j);
-                }
-            }
-        }
-        fronts.push(std::mem::take(&mut current));
-        current = next;
-    }
-    fronts
+    let mut scratch = RankScratch::new();
+    scratch.sort(objectives);
+    scratch.fronts().map(<[usize]>::to_vec).collect()
 }
 
 /// Crowding distance of each member of a front (boundary points get +∞).
@@ -364,33 +607,21 @@ pub fn fast_non_dominated_sort(objectives: &[ObjectiveVector]) -> Vec<Vec<usize>
 /// .expect(...)` comparators in the selection loop panic.
 #[must_use]
 pub fn crowding_distances(front: &[usize], objectives: &[ObjectiveVector]) -> Vec<f64> {
-    let len = front.len();
-    if len <= 2 {
-        return vec![f64::INFINITY; len];
-    }
-    let dims = objectives[front[0]].len();
-    let mut distance = vec![0.0f64; len];
-    let mut order: Vec<usize> = (0..len).collect();
-    for d in 0..dims {
-        order.sort_by(|&x, &y| {
-            let a = objectives[front[x]].values()[d];
-            let b = objectives[front[y]].values()[d];
-            a.partial_cmp(&b).expect("objectives are not NaN")
-        });
-        let lo = objectives[front[order[0]]].values()[d];
-        let hi = objectives[front[order[len - 1]]].values()[d];
-        distance[order[0]] = f64::INFINITY;
-        distance[order[len - 1]] = f64::INFINITY;
-        let span = hi - lo;
-        if span <= 0.0 || !span.is_finite() {
-            continue;
-        }
-        for w in 1..len - 1 {
-            let prev = objectives[front[order[w - 1]]].values()[d];
-            let next = objectives[front[order[w + 1]]].values()[d];
-            distance[order[w]] += (next - prev) / span;
-        }
-    }
+    let Some(&first) = front.first() else {
+        return Vec::new();
+    };
+    let dims = objectives[first].len();
+    let rows: Vec<[f64; MAX_OBJECTIVES]> = front
+        .iter()
+        .map(|&i| {
+            let mut row = [0.0; MAX_OBJECTIVES];
+            row[..dims].copy_from_slice(objectives[i].values());
+            row
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..front.len()).collect();
+    let mut distance = vec![0.0; front.len()];
+    crowd_front(&mut order, &rows, dims, &mut distance);
     distance
 }
 

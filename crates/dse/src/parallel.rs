@@ -104,8 +104,11 @@ pub fn homogeneous_runs<T, K: PartialEq>(
 /// so callers need no special casing.
 ///
 /// The work-unit size adapts to the batch: large batches use big blocks
-/// (amortizing the atomic fetch), while a 100-point NSGA-II generation
+/// (amortizing the atomic fetch), while a batch of a hundred items
 /// still shards into [`MIN_BLOCK`]-item units so every core gets work.
+/// On a multi-core host any batch over [`MIN_BLOCK`] items spawns
+/// threads, so work of a few microseconds does not belong here: the
+/// batch evaluators run their small batches on the calling thread.
 ///
 /// # Panics
 ///

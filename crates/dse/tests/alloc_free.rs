@@ -17,13 +17,17 @@
 //!   permutation / transposed-lane buffers);
 //! * `WbsnModel::evaluate_batch_full` and its grouped sibling write the
 //!   per-node lanes into a reused `FullEvalOut`;
-//! * `ObjectiveVector::from_slice` is an inline `Copy` value.
+//! * `ObjectiveVector::from_slice` is an inline `Copy` value;
+//! * NSGA-II's rank-and-crowding pass (`RankScratch::rank`) refills the
+//!   dominance bit matrix, front and crowding buffers in place.
 //!
 //! This file holds a single `#[test]` so no sibling test thread can
 //! pollute the allocation counter.
 
 use alloc_counter::{allocation_count as allocations, CountingAlloc};
+use wbsn_dse::evaluator::{Evaluator, ModelEvaluator};
 use wbsn_dse::genome::Genome;
+use wbsn_dse::nsga2::{nsga2, Nsga2Config, RankScratch};
 use wbsn_dse::objective::ObjectiveVector;
 use wbsn_model::evaluate::{EvalScratch, WbsnModel};
 use wbsn_model::soa::SoaScratch;
@@ -69,6 +73,7 @@ fn batch_decode_and_evaluate_are_allocation_free_in_steady_state() {
     soa_batch_path_is_allocation_free_in_steady_state();
     full_eval_batch_paths_are_allocation_free_in_steady_state();
     genome_decode_and_objective_construction_are_allocation_free();
+    rank_and_crowding_pass_is_allocation_free_once_warm();
 }
 
 // Called from the single #[test] above. Mirrors `dse_throughput`'s
@@ -211,4 +216,41 @@ fn genome_decode_and_objective_construction_are_allocation_free() {
     let delta = allocations() - before;
     assert!(checksum > 0);
     assert_eq!(delta, 0, "genome decode steady state performed {delta} heap allocations");
+}
+
+// Called from the single #[test] above. A 200-individual population is
+// NSGA-II's default (µ+λ) ranking size: once one pass has grown the
+// scratch, ranking any population of that size allocates nothing. Each
+// population mixes a searched Pareto front (one wide front, so the
+// crowding pass sorts long runs) with sampled points, infeasible ones
+// included.
+fn rank_and_crowding_pass_is_allocation_free_once_warm() {
+    let space = DesignSpace::case_study(6);
+    let eval = ModelEvaluator::shimmer();
+    let population = |seed: u64| -> Vec<ObjectiveVector> {
+        let cfg = Nsga2Config { seed, ..Nsga2Config::default() };
+        let mut objectives: Vec<ObjectiveVector> =
+            nsga2(&space, &eval, &cfg).front.objectives().copied().collect();
+        let sample = space.sample_sweep(200 - objectives.len());
+        // Infeasible points take the all-`+∞` encoding, as in the search.
+        objectives.extend(
+            eval.evaluate_batch(&sample)
+                .into_iter()
+                .map(|o| o.unwrap_or_else(|| ObjectiveVector::from_slice(&[f64::INFINITY; 3]))),
+        );
+        objectives
+    };
+    let first = population(1);
+    let second = population(2);
+    assert_eq!((first.len(), second.len()), (200, 200));
+
+    let mut scratch = RankScratch::new();
+    scratch.rank(&first);
+    let before = allocations();
+    scratch.rank(&first);
+    let widest = scratch.fronts().map(<[usize]>::len).max();
+    scratch.rank(&second);
+    let delta = allocations() - before;
+    assert!(widest > Some(64), "the population must hold one wide front");
+    assert_eq!(delta, 0, "rank-and-crowding steady state performed {delta} heap allocations");
 }

@@ -1,10 +1,12 @@
 //! Property-based tests of the DSE invariants.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use wbsn_dse::evaluator::ModelEvaluator;
 use wbsn_dse::memo::GenomeMemo;
 use wbsn_dse::mosa::{mosa, mosa_with_memo, MosaConfig};
-use wbsn_dse::nsga2::{fast_non_dominated_sort, nsga2, nsga2_with_memo, Nsga2Config};
+use wbsn_dse::nsga2::{fast_non_dominated_sort, nsga2, nsga2_with_memo, Nsga2Config, RankScratch};
 use wbsn_dse::objective::{Dominance, ObjectiveVector};
 use wbsn_dse::pareto::{non_dominated_indices, ParetoArchive};
 use wbsn_dse::quality::{coverage, hypervolume_2d};
@@ -34,6 +36,97 @@ fn reference_compare(a: &[f64], b: &[f64]) -> Dominance {
         (false, false) => Dominance::Equal,
         (true, true) => Dominance::Incomparable,
     }
+}
+
+/// The retired adjacency-list fast non-dominated sort (Deb et al.),
+/// kept as the index-for-index reference for the bit-matrix sort: front
+/// membership *and* order within each front must match.
+fn reference_sort(objectives: &[ObjectiveVector]) -> Vec<Vec<usize>> {
+    let n = objectives.len();
+    let mut dominated_by: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut domination_count = vec![0usize; n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if objectives[i].dominates(&objectives[j]) {
+                dominated_by[i].push(j);
+                domination_count[j] += 1;
+            } else if objectives[j].dominates(&objectives[i]) {
+                dominated_by[j].push(i);
+                domination_count[i] += 1;
+            }
+        }
+    }
+    let mut fronts = Vec::new();
+    let mut current: Vec<usize> = (0..n).filter(|&i| domination_count[i] == 0).collect();
+    while !current.is_empty() {
+        let mut next = Vec::new();
+        for &i in &current {
+            for &j in &dominated_by[i] {
+                domination_count[j] -= 1;
+                if domination_count[j] == 0 {
+                    next.push(j);
+                }
+            }
+        }
+        fronts.push(std::mem::take(&mut current));
+        current = next;
+    }
+    fronts
+}
+
+/// The retired crowding-distance computation, aligned with `front`.
+fn reference_crowding(front: &[usize], objectives: &[ObjectiveVector]) -> Vec<f64> {
+    let len = front.len();
+    if len <= 2 {
+        return vec![f64::INFINITY; len];
+    }
+    let dims = objectives[front[0]].len();
+    let mut distance = vec![0.0f64; len];
+    let mut order: Vec<usize> = (0..len).collect();
+    for d in 0..dims {
+        order.sort_by(|&x, &y| {
+            let a = objectives[front[x]].values()[d];
+            let b = objectives[front[y]].values()[d];
+            a.partial_cmp(&b).expect("objectives are not NaN")
+        });
+        let lo = objectives[front[order[0]]].values()[d];
+        let hi = objectives[front[order[len - 1]]].values()[d];
+        distance[order[0]] = f64::INFINITY;
+        distance[order[len - 1]] = f64::INFINITY;
+        let span = hi - lo;
+        if span <= 0.0 || !span.is_finite() {
+            continue;
+        }
+        for w in 1..len - 1 {
+            let prev = objectives[front[order[w - 1]]].values()[d];
+            let next = objectives[front[order[w + 1]]].values()[d];
+            distance[order[w]] += (next - prev) / span;
+        }
+    }
+    distance
+}
+
+/// A population shaped to stress the sort: values on a coarse grid (so
+/// ties on single axes and many fronts are common) or continuous, exact
+/// duplicates of earlier rows, and all-`+∞` infeasible rows.
+fn stress_population(n: usize, dims: usize, rng: &mut StdRng) -> Vec<ObjectiveVector> {
+    let coarse = rng.gen_bool(0.5);
+    let mut points: Vec<ObjectiveVector> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let roll = rng.gen::<f64>();
+        let point = if roll < 0.15 {
+            ObjectiveVector::from_slice(&[f64::INFINITY; 4][..dims])
+        } else if roll < 0.3 && !points.is_empty() {
+            points[rng.gen_range(0..points.len())]
+        } else {
+            let values: Vec<f64> = (0..dims)
+                .map(|_| if coarse { f64::from(rng.gen_range(0u8..4)) } else { rng.gen::<f64>() })
+                .collect();
+            ObjectiveVector::from_slice(&values)
+        };
+        points.push(point);
+    }
+    points
 }
 
 /// Random tiny design spaces: every grid axis truncated to a random
@@ -133,6 +226,32 @@ proptest! {
                     .flatten()
                     .any(|&j| points[j].dominates(&points[i]));
                 prop_assert!(dominated, "front {k} member {i} undominated by earlier fronts");
+            }
+        }
+    }
+
+    // The bit-matrix sort reproduces Deb's fronts index for index
+    // (front order decides crowding tie-breaks), across 64-bit word
+    // boundaries, 2–4 objectives, duplicates and infeasible rows; one
+    // reused scratch also reproduces every crowding distance bitwise
+    // while it grows and shrinks between population sizes.
+    #[test]
+    fn bit_matrix_sort_matches_deb_index_for_index(seed in 0u64..u64::MAX, dims in 2usize..=4) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scratch = RankScratch::new();
+        for n in [200usize, 0, 65, 1, 128, 2, 63, 129, 64, 127] {
+            let points = stress_population(n, dims, &mut rng);
+            let expected = reference_sort(&points);
+            prop_assert_eq!(&fast_non_dominated_sort(&points), &expected, "n = {}", n);
+
+            scratch.rank(&points);
+            let fronts: Vec<Vec<usize>> = scratch.fronts().map(<[usize]>::to_vec).collect();
+            prop_assert_eq!(&fronts, &expected, "n = {}", n);
+            for (rank, front) in expected.iter().enumerate() {
+                for (&i, d) in front.iter().zip(reference_crowding(front, &points)) {
+                    prop_assert_eq!(scratch.ranks()[i], rank);
+                    prop_assert_eq!(scratch.crowding()[i].to_bits(), d.to_bits(), "n = {}", n);
+                }
             }
         }
     }
