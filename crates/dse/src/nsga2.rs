@@ -17,9 +17,10 @@
 //! # Cost per generation
 //!
 //! Ranking the `2µ` parents and offspring is one branch-free
-//! O(n²·M) pass that builds a dominance bit matrix (n = 2µ individuals,
-//! M objectives), plus a walk over its set bits to peel the fronts and
-//! one stable sort per objective and front for the crowding distances
+//! O(n²·M) pass over the n(n−1)/2 pairs that builds a dominance bit
+//! matrix (n = 2µ individuals, M objectives), plus a walk over its set
+//! bits to peel the fronts and one stable sort per objective and front
+//! for the crowding distances
 //! (see [`fast_non_dominated_sort`]). The buffers live in a
 //! [`RankScratch`] kept for the whole run, so once warm a generation's
 //! ranking allocates nothing.
@@ -327,7 +328,7 @@ fn assign_rank_and_crowding(pop: &mut [Individual], ranking: &mut RankScratch) {
 /// grown to the population size, [`RankScratch::rank`] allocates
 /// nothing. The dominance relation is held as a bit matrix: bit `j` of
 /// row `i` is set when individual `i` dominates individual `j`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct RankScratch {
     /// Objective values, one zero-padded row per individual.
     rows: Vec<[f64; MAX_OBJECTIVES]>,
@@ -530,9 +531,10 @@ fn strict_lanes(a: &[f64; MAX_OBJECTIVES], b: &[f64; MAX_OBJECTIVES]) -> (u64, u
 
 /// Adds each member's crowding distance into `distance` (indexed by
 /// individual, zero on entry). `order` holds the front's members in
-/// front order and is re-sorted per objective; the sort is stable, so
-/// members tied on an objective keep their front order, which decides
-/// who sits at a boundary and who is whose neighbour.
+/// front order and is re-sorted in place per objective. The sorts are
+/// stable, so members tied on an objective keep the order the previous
+/// objective left them in (front order for the first); that decides who
+/// sits at a boundary and who is whose neighbour.
 fn crowd_front(
     order: &mut [usize],
     rows: &[[f64; MAX_OBJECTIVES]],
@@ -572,16 +574,17 @@ fn crowd_front(
 /// members in the order Deb's algorithm discovers them: walking the
 /// previous front in its own order, and each member's dominated set in
 /// ascending index order, an individual joins when its last dominator
-/// is walked. The crowding pass depends on this order: its per-objective
-/// sort is stable, so members tied on an objective keep front order,
-/// and that decides boundary points and neighbours — so a reordered
-/// front changes crowding distances, survivor selection and the whole
-/// seeded NSGA-II trajectory.
+/// is walked. The crowding pass depends on this order: its stable
+/// per-objective sorts start from front order, so it breaks ties on an
+/// objective and thereby decides boundary points and neighbours — a
+/// reordered front changes crowding distances, survivor selection and
+/// the whole seeded NSGA-II trajectory.
 ///
-/// The dominance relation is built in one branch-free O(n²·M) pass into
-/// a bit matrix (see [`RankScratch`]); fronts are peeled by walking set
-/// bits in ascending order, which reproduces the ascending adjacency
-/// lists of the textbook formulation exactly.
+/// The dominance relation is built in one branch-free O(n²·M) pass,
+/// comparing each unordered pair once, into a bit matrix (see
+/// [`RankScratch`]); fronts are peeled by walking set bits in ascending
+/// order, which reproduces the ascending adjacency lists of the
+/// textbook formulation exactly.
 ///
 /// # Panics
 ///
