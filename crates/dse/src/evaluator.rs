@@ -19,8 +19,9 @@
 //! fall back to the scalar per-point [`WbsnModel::evaluate_objectives`]
 //! path on the calling thread (one pooled [`EvalScratch`]) — the `SoA`
 //! tables only pay off once a chunk amortizes them, and a thread spawn
-//! costs more than the few microseconds of scalar work it would split. All engines are bit-identical to
-//! the full model evaluation, so the choice is invisible to callers.
+//! costs more than the few microseconds of scalar work it would split.
+//! All engines are bit-identical to the full model evaluation, so the
+//! choice is invisible to callers.
 //! [`SerialEvaluator`] opts any evaluator back into the one-at-a-time
 //! default — the baseline the speedup is measured against and the
 //! reference for determinism tests.
