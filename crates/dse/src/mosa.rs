@@ -56,6 +56,14 @@ impl Default for MosaConfig {
 /// is what keeps cross-run sharing observationally transparent.
 /// Within-run repeats skip the insertion: it would only be rejected as
 /// weakly dominated (see [`GenomeMemo`]).
+///
+/// A fresh point goes through [`Evaluator::evaluate_batch`] as a
+/// one-point batch rather than [`Evaluator::evaluate`]: the model-backed
+/// evaluators answer small batches on the calling thread with a pooled,
+/// warm `EvalScratch`, while their `evaluate` is the allocating
+/// full-evaluation reference, several times slower per point. Both are
+/// bit-identical, so the trajectory does not depend on the path, and
+/// `evaluate` stays the reference that checks re-evaluate fronts with.
 fn lookup_or_evaluate(
     genome: &Genome,
     space: &DesignSpace,
@@ -72,7 +80,7 @@ fn lookup_or_evaluate(
         return cached;
     }
     let point = genome.decode(space);
-    let outcome = evaluator.evaluate(&point);
+    let outcome = evaluator.evaluate_batch(std::slice::from_ref(&point))[0];
     memo.record(genome.clone(), outcome);
     if let Some(obj) = outcome {
         archive.insert(obj, point);

@@ -34,7 +34,7 @@
 
 use crate::evaluator::Evaluator;
 use crate::genome::Genome;
-use crate::memo::GenomeMemo;
+use crate::memo::{GenomeHashBuilder, GenomeMemo};
 use crate::objective::{ObjectiveVector, MAX_OBJECTIVES};
 use crate::pareto::ParetoArchive;
 use rand::rngs::StdRng;
@@ -230,7 +230,8 @@ fn evaluate_generation(
     let mut fresh_points: Vec<DesignPoint> = Vec::with_capacity(genomes.len());
     let mut slots: Vec<Option<usize>> = Vec::with_capacity(genomes.len());
     {
-        let mut seen_in_batch: HashSet<&Genome> = HashSet::new();
+        let mut seen_in_batch: HashSet<&Genome, GenomeHashBuilder> =
+            HashSet::with_capacity_and_hasher(genomes.len(), GenomeHashBuilder::default());
         for genome in &genomes {
             if memo.contains(genome) || (memo.enabled() && !seen_in_batch.insert(genome)) {
                 slots.push(None);

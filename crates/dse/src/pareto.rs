@@ -51,6 +51,13 @@ impl<T> ParetoArchive<T> {
     /// weakly dominates the candidate, no incumbent can be dominated *by*
     /// the candidate (transitivity would make that incumbent dominated by
     /// the weak dominator) — rejection can never race an eviction.
+    ///
+    /// Incumbents move only after an eviction: a survivor is swapped
+    /// into the gap that evicted entries left before it, so an insert
+    /// that evicts nothing, and every rejection, leaves the incumbents
+    /// in place. Survivors keep their insertion order. The guard
+    /// matters because a self-swap still copies the whole entry, ~480 B
+    /// with a [`DesignPoint`](wbsn_model::space::DesignPoint) payload.
     pub fn insert(&mut self, objectives: ObjectiveVector, payload: T) -> bool {
         use crate::objective::Dominance;
         let mut write = 0;
@@ -62,7 +69,9 @@ impl<T> ParetoArchive<T> {
                 }
                 Dominance::DominatedBy => {} // evicted: not copied forward
                 Dominance::Incomparable => {
-                    self.entries.swap(write, read);
+                    if write != read {
+                        self.entries.swap(write, read);
+                    }
                     write += 1;
                 }
             }

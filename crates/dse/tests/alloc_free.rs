@@ -19,24 +19,90 @@
 //!   per-node lanes into a reused `FullEvalOut`;
 //! * `ObjectiveVector::from_slice` is an inline `Copy` value;
 //! * NSGA-II's rank-and-crowding pass (`RankScratch::rank`) refills the
-//!   dominance bit matrix, front and crowding buffers in place.
+//!   dominance bit matrix, front and crowding buffers in place;
+//! * a warm `GenomeMemo` hit (`contains`, `get_with_provenance`) hashes
+//!   and probes without touching the heap;
+//! * a rejected `ParetoArchive::insert` drops its candidate in place.
 //!
-//! This file holds a single `#[test]` so no sibling test thread can
-//! pollute the allocation counter.
+//! The allocation counter is process-global, so the file is a plain
+//! `main` (`harness = false` in `Cargo.toml`): libtest would run the
+//! checks on a spawned thread while its own main thread allocates
+//! concurrently, and those stray allocations land in the counted
+//! windows. Here the checks run one after another on the only thread.
+//! Each passing check prints a libtest-style `test <name> ... ok` line;
+//! a failing one panics, which fails the test binary.
+//!
+//! ```text
+//! cargo test -p wbsn-dse --test alloc_free
+//! ```
 
 use alloc_counter::{allocation_count as allocations, CountingAlloc};
 use wbsn_dse::evaluator::{Evaluator, ModelEvaluator};
 use wbsn_dse::genome::Genome;
+use wbsn_dse::memo::GenomeMemo;
 use wbsn_dse::nsga2::{nsga2, Nsga2Config, RankScratch};
 use wbsn_dse::objective::ObjectiveVector;
+use wbsn_dse::pareto::ParetoArchive;
 use wbsn_model::evaluate::{EvalScratch, WbsnModel};
 use wbsn_model::soa::SoaScratch;
-use wbsn_model::space::DesignSpace;
+use wbsn_model::space::{DesignPoint, DesignSpace};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-#[test]
+/// The checks, run in order on the main thread.
+const CHECKS: [(&str, fn()); 8] = [
+    (
+        "batch_decode_and_evaluate_are_allocation_free_in_steady_state",
+        batch_decode_and_evaluate_are_allocation_free_in_steady_state,
+    ),
+    (
+        "fastpath_sweep_loop_is_allocation_free_once_warm",
+        fastpath_sweep_loop_is_allocation_free_once_warm,
+    ),
+    (
+        "soa_batch_path_is_allocation_free_in_steady_state",
+        soa_batch_path_is_allocation_free_in_steady_state,
+    ),
+    (
+        "full_eval_batch_paths_are_allocation_free_in_steady_state",
+        full_eval_batch_paths_are_allocation_free_in_steady_state,
+    ),
+    (
+        "genome_decode_and_objective_construction_are_allocation_free",
+        genome_decode_and_objective_construction_are_allocation_free,
+    ),
+    (
+        "rank_and_crowding_pass_is_allocation_free_once_warm",
+        rank_and_crowding_pass_is_allocation_free_once_warm,
+    ),
+    ("warm_memo_hits_are_allocation_free", warm_memo_hits_are_allocation_free),
+    ("rejected_archive_insert_is_allocation_free", rejected_archive_insert_is_allocation_free),
+];
+
+fn main() {
+    // `--list` follows libtest's listing format, so test runners can
+    // enumerate the checks without running them.
+    if std::env::args().any(|arg| arg == "--list") {
+        for (name, _) in CHECKS {
+            println!("{name}: test");
+        }
+        return;
+    }
+    let start = std::time::Instant::now();
+    println!("\nrunning {} tests", CHECKS.len());
+    for (name, check) in CHECKS {
+        check();
+        println!("test {name} ... ok");
+    }
+    println!(
+        "\ntest result: ok. {} passed; 0 failed; 0 ignored; 0 measured; 0 filtered out; \
+         finished in {:.2}s\n",
+        CHECKS.len(),
+        start.elapsed().as_secs_f64()
+    );
+}
+
 fn batch_decode_and_evaluate_are_allocation_free_in_steady_state() {
     let model = WbsnModel::shimmer();
     let space = DesignSpace::case_study(6);
@@ -68,15 +134,9 @@ fn batch_decode_and_evaluate_are_allocation_free_in_steady_state() {
     let delta = allocations() - before;
     assert_eq!(feasible, feasible_warm);
     assert_eq!(delta, 0, "decode+evaluate steady state performed {delta} heap allocations");
-
-    fastpath_sweep_loop_is_allocation_free_once_warm();
-    soa_batch_path_is_allocation_free_in_steady_state();
-    full_eval_batch_paths_are_allocation_free_in_steady_state();
-    genome_decode_and_objective_construction_are_allocation_free();
-    rank_and_crowding_pass_is_allocation_free_once_warm();
 }
 
-// Called from the single #[test] above. Mirrors `dse_throughput`'s
+// Mirrors `dse_throughput`'s
 // fast-path loop exactly — `sample_sweep(512)` cycled modulo through
 // one warm `EvalScratch` — so the bench's `fastpath_allocs_per_eval`
 // field is pinned at a hard 0 here, not a small amortized residue:
@@ -109,8 +169,7 @@ fn fastpath_sweep_loop_is_allocation_free_once_warm() {
     assert_eq!(delta, 0, "warm fast-path sweep performed {delta} heap allocations");
 }
 
-// Called from the single #[test] above (the allocation counter is a
-// process-global). The SoA kernel's first pass may allocate freely —
+// The SoA kernel's first pass may allocate freely —
 // interned grid/MAC tables, lazily grown cell blocks, per-batch buffers
 // — but a warm scratch re-running the same batch must perform zero heap
 // allocations: the batch evaluator pools these scratches and calls the
@@ -136,7 +195,7 @@ fn soa_batch_path_is_allocation_free_in_steady_state() {
     assert_eq!(delta, 0, "SoA batch steady state performed {delta} heap allocations");
 }
 
-// Called from the single #[test] above. The full-evaluation batch
+// The full-evaluation batch
 // kernels — ungrouped and MAC-grouped — write per-node energy
 // breakdown / delay / PRD / slot lanes into a caller-owned `FullEvalOut`
 // whose buffers (like the kernel scratch's pending records, permutation
@@ -189,8 +248,6 @@ fn full_eval_batch_paths_are_allocation_free_in_steady_state() {
     assert_eq!(delta, 0, "grouped batch steady state performed {delta} heap allocations");
 }
 
-// Called from the single #[test] above: a second parallel test thread
-// would pollute the shared allocation counter.
 fn genome_decode_and_objective_construction_are_allocation_free() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -218,7 +275,7 @@ fn genome_decode_and_objective_construction_are_allocation_free() {
     assert_eq!(delta, 0, "genome decode steady state performed {delta} heap allocations");
 }
 
-// Called from the single #[test] above. A 200-individual population is
+// A 200-individual population is
 // NSGA-II's default (µ+λ) ranking size: once one pass has grown the
 // scratch, ranking any population of that size allocates nothing. Each
 // population mixes a searched Pareto front (one wide front, so the
@@ -253,4 +310,71 @@ fn rank_and_crowding_pass_is_allocation_free_once_warm() {
     let delta = allocations() - before;
     assert!(widest > Some(64), "the population must hold one wide front");
     assert_eq!(delta, 0, "rank-and-crowding steady state performed {delta} heap allocations");
+}
+
+// A warm memo hit is what most NSGA-II and MOSA candidates cost once a
+// run has explored its neighborhood: hashing the genome and probing the
+// map must not touch the heap, for known-feasible and known-infeasible
+// entries alike.
+fn warm_memo_hits_are_allocation_free() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    for nodes in [2, 6] {
+        let space = DesignSpace::case_study(nodes);
+        let mut rng = StdRng::seed_from_u64(17);
+        let genomes: Vec<Genome> = (0..256).map(|_| Genome::random(&space, &mut rng)).collect();
+        let mut memo = GenomeMemo::new(true);
+        memo.begin_run();
+        for (i, g) in genomes.iter().enumerate() {
+            let outcome = (i % 4 != 0).then(|| ObjectiveVector::from_slice(&[i as f64, 1.0, 2.0]));
+            memo.record(g.clone(), outcome);
+        }
+
+        let before = allocations();
+        let mut feasible = 0usize;
+        for g in &genomes {
+            assert!(memo.contains(g));
+            let (outcome, from_earlier_run) =
+                memo.get_with_provenance(g).expect("every genome was recorded");
+            assert!(!from_earlier_run);
+            feasible += usize::from(outcome.is_some());
+        }
+        let delta = allocations() - before;
+        assert_eq!(feasible, 192);
+        assert_eq!(delta, 0, "warm {nodes}-node memo hits performed {delta} heap allocations");
+    }
+}
+
+// Searchers offer the archive every feasible fresh outcome, and most are
+// rejected as weakly dominated: a rejection must neither move nor copy
+// an incumbent, nor allocate. The candidates (dominated and exact
+// duplicates of incumbents) are built before the counted window and
+// consumed by the inserts.
+fn rejected_archive_insert_is_allocation_free() {
+    let space = DesignSpace::case_study(6);
+    let point = |i: u128| -> DesignPoint { space.point_at(i * 7919 % space.cardinality()) };
+    let mut archive = ParetoArchive::new();
+    for i in 0..64u32 {
+        let x = f64::from(i);
+        assert!(archive.insert(ObjectiveVector::from_slice(&[x, 64.0 - x, 1.0]), point(i.into())));
+    }
+    let snapshot = archive.clone();
+    let candidates: Vec<(ObjectiveVector, DesignPoint)> = (0..128u32)
+        .map(|i| {
+            let x = f64::from(i % 64);
+            let worse = if i < 64 { 0.5 } else { 0.0 };
+            (ObjectiveVector::from_slice(&[x + worse, 64.0 - x, 1.0]), point(u128::from(i) + 100))
+        })
+        .collect();
+
+    let before = allocations();
+    let mut accepted = 0usize;
+    for (objectives, payload) in candidates {
+        accepted += usize::from(archive.insert(objectives, payload));
+    }
+    let delta = allocations() - before;
+    assert_eq!(accepted, 0, "every candidate is dominated by or equal to an incumbent");
+    assert_eq!(archive, snapshot, "rejections leave the archive untouched");
+    assert_eq!(delta, 0, "rejected archive inserts performed {delta} heap allocations");
 }

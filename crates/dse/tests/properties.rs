@@ -8,7 +8,7 @@ use wbsn_dse::memo::GenomeMemo;
 use wbsn_dse::mosa::{mosa, mosa_with_memo, MosaConfig};
 use wbsn_dse::nsga2::{fast_non_dominated_sort, nsga2, nsga2_with_memo, Nsga2Config, RankScratch};
 use wbsn_dse::objective::{Dominance, ObjectiveVector};
-use wbsn_dse::pareto::{non_dominated_indices, ParetoArchive};
+use wbsn_dse::pareto::{non_dominated_indices, ArchiveEntry, ParetoArchive};
 use wbsn_dse::quality::{coverage, hypervolume_2d};
 use wbsn_model::space::DesignSpace;
 use wbsn_model::units::Hertz;
@@ -127,6 +127,66 @@ fn stress_population(n: usize, dims: usize, rng: &mut StdRng) -> Vec<ObjectiveVe
         points.push(point);
     }
     points
+}
+
+/// The archive insertion before incumbents stayed in place until an
+/// eviction: every incomparable incumbent was swapped forward, including
+/// onto itself. Kept as the reference for entries, order and payloads.
+fn always_swap_insert(
+    entries: &mut Vec<ArchiveEntry<usize>>,
+    objectives: ObjectiveVector,
+    payload: usize,
+) -> bool {
+    let mut write = 0;
+    for read in 0..entries.len() {
+        match entries[read].objectives.compare(&objectives) {
+            Dominance::Dominates | Dominance::Equal => return false,
+            Dominance::DominatedBy => {}
+            Dominance::Incomparable => {
+                entries.swap(write, read);
+                write += 1;
+            }
+        }
+    }
+    entries.truncate(write);
+    entries.push(ArchiveEntry { objectives, payload });
+    true
+}
+
+/// The next point of an insertion stream shaped to stress the archive:
+/// coarse-grid points (exact ties on single axes, equal vectors), exact
+/// duplicates of earlier points or of incumbents, an incumbent lowered
+/// on one axis or on all (an eviction at that incumbent's position, and
+/// a run of them when the lowered point is lowered again later), and an
+/// occasional point below everything (the archive collapses to one).
+fn stress_point(
+    dims: usize,
+    history: &[ObjectiveVector],
+    front: &[ArchiveEntry<usize>],
+    rng: &mut StdRng,
+) -> ObjectiveVector {
+    let roll = rng.gen::<f64>();
+    if front.is_empty() || roll < 0.45 {
+        let values: Vec<f64> = (0..dims).map(|_| f64::from(rng.gen_range(0u8..6))).collect();
+        return ObjectiveVector::from_slice(&values);
+    }
+    let incumbent = front[rng.gen_range(0..front.len())].objectives;
+    let mut values = incumbent.values().to_vec();
+    if roll < 0.6 {
+        history[rng.gen_range(0..history.len())]
+    } else if roll < 0.7 {
+        incumbent
+    } else if roll < 0.88 {
+        values[rng.gen_range(0..dims)] -= 0.5;
+        ObjectiveVector::from_slice(&values)
+    } else if roll < 0.98 {
+        for v in &mut values {
+            *v -= 0.25;
+        }
+        ObjectiveVector::from_slice(&values)
+    } else {
+        ObjectiveVector::from_slice(&[-10.0; 4][..dims])
+    }
 }
 
 /// Random tiny design spaces: every grid axis truncated to a random
@@ -353,6 +413,54 @@ proptest! {
             prop_assert_eq!(entry.objectives.values(), &q[..]);
             prop_assert_eq!(&entry.payload, i);
         }
+    }
+
+    // Incumbents that move only after an eviction leave the archive
+    // exactly as the always-swap insertion did: the same accept/reject
+    // answer and the same entries, in the same order, with the same
+    // payloads after every insert — and so the same `merge` results.
+    #[test]
+    fn archive_insert_matches_always_swap_reference(
+        seed in 0u64..1_000_000,
+        dims in 2usize..=4,
+        len in 1usize..160,
+        split in 0.0f64..1.0,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut points = Vec::with_capacity(len);
+        let mut archive = ParetoArchive::new();
+        let mut reference = Vec::new();
+        let mut evictions = 0usize;
+        for i in 0..len {
+            let p = stress_point(dims, &points, archive.entries(), &mut rng);
+            points.push(p);
+            let before = reference.len();
+            let accepted = archive.insert(p, i);
+            prop_assert_eq!(accepted, always_swap_insert(&mut reference, p, i), "insert #{}", i);
+            evictions += (before + usize::from(accepted)).saturating_sub(reference.len());
+            prop_assert_eq!(archive.entries(), &reference[..], "insert #{}", i);
+        }
+        prop_assert!(len < 40 || evictions > 0, "the stream must exercise evictions");
+
+        // Two chunk archives merged, against the reference's replay of
+        // the second chunk's entries into the first.
+        let cut = (split * len as f64) as usize;
+        let (mut left, mut right) = (ParetoArchive::new(), ParetoArchive::new());
+        let (mut left_ref, mut right_ref) = (Vec::new(), Vec::new());
+        for (i, &p) in points.iter().enumerate() {
+            if i < cut {
+                left.insert(p, i);
+                always_swap_insert(&mut left_ref, p, i);
+            } else {
+                right.insert(p, i);
+                always_swap_insert(&mut right_ref, p, i);
+            }
+        }
+        left.merge(right);
+        for entry in right_ref {
+            always_swap_insert(&mut left_ref, entry.objectives, entry.payload);
+        }
+        prop_assert_eq!(left.entries(), &left_ref[..]);
     }
 
     // Genome-memoized searches are bit-identical to memo-free runs:
